@@ -47,7 +47,21 @@ void BM_Crc32(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(1 << 10)->Arg(1 << 16);
+// 26 MiB is the size of an all-dirty frame of the paper's section-5 graph.
+BENCHMARK(BM_Crc32)->Arg(1 << 10)->Arg(1 << 16)->Arg(26 << 20);
+
+// The bytewise reference loop, for the dispatched kernel's rate to be read
+// against its oracle.
+void BM_Crc32Bytewise(benchmark::State& state) {
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)),
+                                 0xA5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        io::detail::crc32_bytewise(0xFFFFFFFFu, data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32Bytewise)->Arg(1 << 10)->Arg(1 << 16)->Arg(26 << 20);
 
 void BM_SetModified(benchmark::State& state) {
   core::CheckpointInfo info;

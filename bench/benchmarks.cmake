@@ -24,17 +24,22 @@ foreach(name ${ICKPT_BENCHES})
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endforeach()
 
+# Both timing gates below run with RUN_SERIAL: under `ctest -j` the other
+# tests compete for the same cores and skew the timings they compare.
+#
 # The profiler harness certifies its own attribution (stage sums within 10%
 # of busy time, JSON re-parsed independently), so its reduced grid runs as a
 # ctest smoke test under the `profile` label alongside the profiler suite.
 add_test(NAME bench_profile_smoke COMMAND bench_profile --smoke)
-set_tests_properties(bench_profile_smoke PROPERTIES LABELS "profile")
+set_tests_properties(bench_profile_smoke PROPERTIES LABELS "profile"
+                     RUN_SERIAL TRUE)
 
 # The parallel-capture regression gate: on a >= 4-hardware-thread box the
 # reduced grid asserts threads=4 capture is no slower than serial; below
 # that it reports a skip and passes, so single-core CI stays green.
 add_test(NAME bench_parallel_smoke COMMAND bench_parallel --smoke)
-set_tests_properties(bench_parallel_smoke PROPERTIES LABELS "parallel")
+set_tests_properties(bench_parallel_smoke PROPERTIES LABELS "parallel"
+                     RUN_SERIAL TRUE)
 
 add_executable(bench_micro bench/bench_micro.cpp)
 target_link_libraries(bench_micro PRIVATE

@@ -218,6 +218,78 @@ TEST(Crc32, DetectsSingleBitFlip) {
   EXPECT_NE(Crc32::compute(data.data(), data.size()), original);
 }
 
+// Differential tests: the dispatched Crc32 (the folding kernel on a CPU with
+// pclmul) against the bytewise reference loop.
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::uint8_t> data(n);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  return data;
+}
+
+std::uint32_t reference_crc(const std::uint8_t* data, std::size_t n) {
+  return detail::crc32_bytewise(0xFFFFFFFFu, data, n) ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBytewiseAtEveryLengthAndOffset) {
+  const auto data = random_bytes(1024 + 16, 11);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::uint8_t* p = data.data() + offset;
+      ASSERT_EQ(Crc32::compute(p, len), reference_crc(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, SplitUpdatesMatchBytewise) {
+  const auto data = random_bytes(4096, 13);
+  const std::uint32_t expected = reference_crc(data.data(), data.size());
+  auto split_crc = [&](std::size_t a, std::size_t b) {
+    Crc32 crc;
+    crc.update(data.data(), a);
+    crc.update(data.data() + a, b - a);
+    crc.update(data.data() + b, data.size() - b);
+    return crc.value();
+  };
+  // Every first cut around the 16- and 64-byte fold thresholds (and their
+  // multiples), each with a second cut on either side of a threshold.
+  for (std::size_t a = 0; a <= 200; ++a) {
+    for (std::size_t gap : {0, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129}) {
+      ASSERT_EQ(split_crc(a, a + gap), expected) << "cuts " << a << "+" << gap;
+    }
+  }
+  std::mt19937 rng(17);
+  for (int i = 0; i < 2000; ++i) {
+    std::size_t a = rng() % (data.size() + 1);
+    std::size_t b = a + rng() % (data.size() - a + 1);
+    ASSERT_EQ(split_crc(a, b), expected) << "cuts " << a << ", " << b;
+  }
+}
+
+TEST(Crc32, LargeBufferMatchesBytewise) {
+  // The size of an all-dirty frame of the paper's section-5 graph.
+  const auto data = random_bytes(26u << 20, 19);
+  EXPECT_EQ(Crc32::compute(data.data(), data.size()),
+            reference_crc(data.data(), data.size()));
+}
+
+TEST(Crc32, ClmulKernelMatchesBytewiseDirectly) {
+  if (!detail::crc32_clmul_supported())
+    GTEST_SKIP() << "CPU does not report pclmul and sse4.1";
+  const auto data = random_bytes(8192 + 16, 23);
+  std::mt19937 rng(29);
+  for (int i = 0; i < 5000; ++i) {
+    const std::size_t offset = rng() % 16;
+    const std::size_t len = rng() % 8193;
+    const std::uint32_t state = static_cast<std::uint32_t>(rng());
+    const std::uint8_t* p = data.data() + offset;
+    ASSERT_EQ(detail::crc32_clmul(state, p, len),
+              detail::crc32_bytewise(state, p, len))
+        << "offset " << offset << " length " << len << " state " << state;
+  }
+}
+
 TEST(CountingSink, CountsWithoutStoring) {
   CountingSink sink;
   DataWriter w(sink);
