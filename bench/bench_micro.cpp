@@ -1,17 +1,20 @@
 // Micro-benchmarks (google-benchmark) backing the analysis in the paper
 // reproduction: stream encoding throughput, CRC, per-object cost of each
-// execution engine, flag maintenance, and the cycle-guard overhead that
-// justifies keeping it off by default.
+// execution engine, flag maintenance, the cycle-guard overhead that
+// justifies keeping it off by default, and recovery's replay of a window.
 #include <benchmark/benchmark.h>
 
 #include "core/checkpoint.hpp"
+#include "core/recovery.hpp"
 #include "io/byte_sink.hpp"
 #include "io/crc32.hpp"
+#include "io/data_reader.hpp"
 #include "io/data_writer.hpp"
 #include "spec/compiler.hpp"
 #include "spec/executor.hpp"
 #include "synth/residual_dispatch.hpp"
 #include "synth/shapes.hpp"
+#include "synth/structures.hpp"
 #include "synth/workload.hpp"
 
 namespace {
@@ -175,6 +178,65 @@ void BM_PlanCompilation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlanCompilation);
+
+/// The window a time-travel read replays: one full checkpoint of 5,000
+/// paper-section-5 compounds (one list 25% modified) plus 8 deltas.
+struct ReplayWindow {
+  std::vector<std::vector<std::uint8_t>> frames;
+  core::TypeRegistry registry;
+
+  ReplayWindow() {
+    synth::register_types(registry);
+    core::Heap heap;
+    synth::SynthConfig config;
+    config.num_structures = 5000;
+    config.list_length = 5;
+    config.values_per_elem = 10;
+    config.modified_lists = 1;
+    config.percent_modified = 25;
+    synth::SynthWorkload workload(heap, config);
+    for (Epoch epoch = 0; epoch <= 8; ++epoch) {
+      if (epoch > 0) workload.mutate();
+      io::VectorSink sink;
+      io::DataWriter writer(sink);
+      core::CheckpointOptions opts;
+      opts.mode = epoch == 0 ? core::Mode::kFull : core::Mode::kIncremental;
+      core::Checkpoint::run(writer, epoch, workload.root_bases(), opts);
+      writer.flush();
+      frames.push_back(sink.bytes());
+    }
+  }
+
+  static ReplayWindow& instance() {
+    static ReplayWindow window;
+    return window;
+  }
+};
+
+/// Recovery::apply over the window, then finish(); freeing the recovered
+/// heap is left out of the timing.
+void BM_RecoveryReplay(benchmark::State& state) {
+  auto& window = ReplayWindow::instance();
+  std::size_t objects = 0;
+  for (auto _ : state) {
+    core::RecoveredState recovered;
+    {
+      core::Recovery recovery(window.registry);
+      for (const auto& frame : window.frames) {
+        io::DataReader reader(frame);
+        recovery.apply(reader);
+      }
+      recovered = recovery.finish();
+    }
+    objects = recovered.by_id.size();
+    state.PauseTiming();
+    recovered = core::RecoveredState{};
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(objects));
+}
+BENCHMARK(BM_RecoveryReplay)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -559,6 +559,15 @@ struct LogIndex {
   std::uint64_t stop_offset = 0;
   std::size_t regions_skipped = 0;
   std::uint64_t bytes_skipped = 0;
+  /// Payload bytes of every frame the pass streamed.
+  std::uint64_t payload_bytes = 0;
+};
+
+/// What recovery's passes over the log read: the index pass plus one
+/// re-stream per replayed window.
+struct StreamTally {
+  std::size_t passes = 0;
+  std::uint64_t payload_bytes = 0;
 };
 
 LogIndex index_log(const std::string& path, const io::ScanOptions& sopts) {
@@ -575,6 +584,7 @@ LogIndex index_log(const std::string& path, const io::ScanOptions& sopts) {
       meta.epoch = f.epoch;
     }
     index.frames.push_back(meta);
+    index.payload_bytes += f.payload_bytes;
   }
   index.clean = raw.clean;
   index.stop_reason = raw.stop_reason;
@@ -605,13 +615,13 @@ LogIndex index_log(const std::string& path, const io::ScanOptions& sopts) {
 /// frames in order, so frames before the bad one are unaffected by it).
 /// Returns false when the full checkpoint itself is undecodable. Trims are
 /// collected into `note`; `records` receives the record count of the
-/// finally-applied window; `passes` counts the re-streams.
+/// finally-applied window; `streamed` counts the re-streams and their bytes.
 bool apply_window(const std::string& path, const io::ScanOptions& sopts,
                   const std::vector<FrameMeta>& meta, std::size_t begin,
                   std::size_t end_limit, const TypeRegistry& registry,
                   RecoveredState& out, std::size_t& applied,
                   RecoveryNote& note, std::size_t& records,
-                  std::size_t& passes) {
+                  StreamTally& streamed) {
   std::size_t end = end_limit;
   while (end > begin) {
     Recovery recovery(registry);
@@ -621,7 +631,7 @@ bool apply_window(const std::string& path, const io::ScanOptions& sopts,
     ApplyStats window_stats;
     {
       io::FrameIterator it(path, sopts);
-      ++passes;
+      ++streamed.passes;
       io::Frame frame;
       // Frames before the window stream past without being decoded (the
       // iterator reuses one payload buffer, so skipping costs no memory).
@@ -629,11 +639,13 @@ bool apply_window(const std::string& path, const io::ScanOptions& sopts,
         if (!it.next(frame))
           throw CorruptionError("log '" + path +
                                 "' shrank while recovering from it");
+        streamed.payload_bytes += frame.payload.size();
       }
       for (; at < end; ++at) {
         if (!it.next(frame))
           throw CorruptionError("log '" + path +
                                 "' shrank while recovering from it");
+        streamed.payload_bytes += frame.payload.size();
         try {
           io::DataReader reader(frame.payload);
           ApplyStats frame_stats;
@@ -677,11 +689,17 @@ namespace {
 RecoverResult recover_one(const std::string& path,
                           const TypeRegistry& registry, RecoverOptions opts) {
   obs::Span span("checkpoint.recover", "recovery");
+  const obs::Histogram recover_seconds = obs::histogram(
+      "ickpt_recover_seconds",
+      {{"target", opts.target_epoch.has_value() ? "epoch" : "newest"}});
+  const bool timed = recover_seconds.live();
+  std::chrono::steady_clock::time_point t0;
+  if (timed) t0 = std::chrono::steady_clock::now();
   const io::ScanOptions sopts{.salvage = opts.salvage};
 
   // Pass 1: index the log without materializing payloads.
   LogIndex index = index_log(path, sopts);
-  std::size_t passes = 1;
+  StreamTally streamed{.passes = 1, .payload_bytes = index.payload_bytes};
   if (index.frames.empty()) {
     if (opts.target_epoch.has_value())
       throw EpochNotRetainedError(path, *opts.target_epoch, std::nullopt,
@@ -762,7 +780,7 @@ RecoverResult recover_one(const std::string& path,
       obs::Span apply_span("recover.apply_window", "recovery");
       if (apply_window(path, sopts, index.frames, i, end_limit, registry,
                        result.state, applied, note, records_applied,
-                       passes)) {
+                       streamed)) {
         // apply_window trims damaged tails; a trimmed window no longer
         // reaches the target, and time-travel must never report success
         // with a different epoch's state.
@@ -776,7 +794,7 @@ RecoverResult recover_one(const std::string& path,
         recovered = true;
       }
     }
-    result.stream_passes = passes;
+    result.stream_passes = streamed.passes;
     if (!recovered)
       throw CorruptionError(
           "epoch " + std::to_string(*opts.target_epoch) + " is on log '" +
@@ -796,7 +814,7 @@ RecoverResult recover_one(const std::string& path,
         obs::Span apply_span("recover.apply_window", "recovery");
         if (apply_window(path, sopts, index.frames, i, seg_end, registry,
                          result.state, applied, note, records_applied,
-                         passes)) {
+                         streamed)) {
           if (result.state.by_id.empty() && result.state.roots.empty()) {
             // The window's frames decode but hold no object records (e.g. a
             // bare stream header). Never return an empty graph as recovered
@@ -810,7 +828,7 @@ RecoverResult recover_one(const std::string& path,
         }
       }
     }
-    result.stream_passes = passes;
+    result.stream_passes = streamed.passes;
     if (!recovered) {
       if (saw_empty_window)
         throw CorruptionError(
@@ -844,6 +862,11 @@ RecoverResult recover_one(const std::string& path,
   obs::counter("ickpt_recover_frames_total", {{"result", "dropped"}})
       .inc(result.frames_dropped);
   obs::counter("ickpt_recover_records_total").inc(records_applied);
+  obs::counter("ickpt_recover_bytes_total").inc(streamed.payload_bytes);
+  if (timed)
+    recover_seconds.observe(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count());
   if (result.corrupt_regions > 0) {
     obs::counter("ickpt_recover_salvage_regions_total")
         .inc(result.corrupt_regions);

@@ -36,6 +36,11 @@ std::size_t RecoveredState::prune_unreachable() {
 
 namespace {
 
+/// Mean record size assumed when presizing the id map from the first
+/// frame's bytes (a synth list element records ~50 bytes, a compound ~20).
+/// Smaller records only cost rehashes; larger ones leave buckets unused.
+constexpr std::size_t kBytesPerRecord = 40;
+
 StreamHeader read_header(io::DataReader& r) {
   if (r.read_u8() != kStreamMagic)
     throw CorruptionError("bad checkpoint stream magic");
@@ -79,6 +84,10 @@ io::HeaderProbe stream_header_probe() {
 
 StreamHeader Recovery::apply(io::DataReader& r, ApplyStats* stats) {
   StreamHeader header = read_header(r);
+  // Size the id map once, from the first (full) frame, so that it does not
+  // rehash while the anchor materializes.
+  if (mode_ == ApplyMode::kMaterialize && !has_header_)
+    by_id_.reserve(r.remaining() / kBytesPerRecord);
   for (;;) {
     std::uint8_t tag = r.read_u8();
     if (tag == kEndTag) break;
@@ -104,20 +113,23 @@ StreamHeader Recovery::apply(io::DataReader& r, ApplyStats* stats) {
       event_children_.clear();
       continue;
     }
-    Checkpointable* obj;
-    auto it = objects_.find(oid);
-    if (it == objects_.end()) {
-      const TypeRegistry::Entry& entry = registry_->lookup(type);
-      auto created = entry.factory(oid);
-      obj = created.get();
-      objects_.emplace(oid, std::move(created));
-    } else {
-      obj = it->second.get();
-      if (obj->type_id() != type)
-        throw TypeError("object " + std::to_string(oid) +
-                        " changes type across checkpoints");
+    auto [it, fresh] = by_id_.try_emplace(oid, nullptr);
+    if (fresh) {
+      try {
+        it->second = heap_.adopt(registry_->lookup(type).factory(oid));
+      } catch (...) {
+        by_id_.erase(it);
+        throw;
+      }
+    } else if (it->second->type_id() != type) {
+      throw TypeError("object " + std::to_string(oid) +
+                      " changes type across checkpoints");
     }
-    obj->restore_record(r, *this);
+    it->second->restore_record(r, *this);
+    // Recovered state corresponds to a moment just after a checkpoint, when
+    // every recorded object's flag had been reset. Resetting here, while the
+    // object is hot, spares finish() a pass over the whole graph.
+    it->second->info().reset_modified();
   }
   if (!r.at_end())
     throw CorruptionError("trailing bytes after checkpoint end tag");
@@ -130,27 +142,26 @@ RecoveredState Recovery::finish() {
   if (mode_ == ApplyMode::kScan)
     throw Error("Recovery::finish() is invalid in scan mode");
   if (!has_header_) throw Error("Recovery::finish() with no checkpoint applied");
+  // In stream order, so the newest record of each slot wins.
   for (const Fixup& fixup : fixups_) {
-    auto it = objects_.find(fixup.id);
-    if (it == objects_.end())
-      throw CorruptionError("dangling child reference to object " +
-                            std::to_string(fixup.id));
-    fixup.set(*it->second);
+    Checkpointable* child = nullptr;
+    if (fixup.id != kNullObjectId) {
+      auto it = by_id_.find(fixup.id);
+      if (it == by_id_.end())
+        throw CorruptionError("dangling child reference to object " +
+                              std::to_string(fixup.id));
+      child = it->second;
+    }
+    fixup.set(fixup.slot, child);
   }
-  fixups_.clear();
+  std::vector<Fixup>().swap(fixups_);  // freed now, not when *this dies
 
   RecoveredState state;
-  state.roots = last_header_.roots;
+  state.heap = std::move(heap_);
+  state.by_id = std::move(by_id_);
+  state.roots = std::move(last_header_.roots);
   state.epoch = last_header_.epoch;
-  state.by_id.reserve(objects_.size());
-  for (auto& [oid, obj] : objects_) {
-    // Recovered state corresponds to a moment just after a checkpoint, when
-    // every recorded object's flag had been reset.
-    obj->info().reset_modified();
-    state.by_id.emplace(oid, obj.get());
-    state.heap.adopt(std::move(obj));
-  }
-  objects_.clear();
+  by_id_.clear();
   return state;
 }
 

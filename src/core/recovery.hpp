@@ -5,11 +5,17 @@
 // ObjectId: the full checkpoint materializes every object, and each
 // incremental checkpoint overwrites the local state of the objects it
 // contains (and materializes objects created since the previous checkpoint).
-// Child references, recorded as ids, are resolved in a final pass once every
-// object exists, so forward references inside a checkpoint are fine.
+// Each object is materialized once: the factory's instance goes straight
+// into the owned heap and is indexed in the one id map, and finish() moves
+// both into the RecoveredState. Child references, recorded as ids, are
+// queued as plain fixups (id, slot, typed setter) and resolved in stream
+// order once every object exists, so forward references inside a
+// checkpoint are fine and the newest record of a slot wins, null included:
+// a link a later delta cleared stays cleared.
 #pragma once
 
 #include <functional>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -121,44 +127,55 @@ class Recovery {
 
   /// Called from restore_record() implementations: read a child id from the
   /// stream and schedule `slot` to be pointed at that object (or nullptr).
+  /// A null id is scheduled too, so it overrides an older record's link.
   template <class T>
   void link(io::DataReader& d, T*& slot) {
     ObjectId id = d.read_varint();
     slot = nullptr;
-    if (id == kNullObjectId) return;
     if (mode_ == ApplyMode::kScan) {
-      event_children_.push_back(id);
+      if (id != kNullObjectId) event_children_.push_back(id);
       return;
     }
-    fixups_.push_back(Fixup{id, [&slot](Checkpointable& obj) {
-                              T* typed = dynamic_cast<T*>(&obj);
-                              if (typed == nullptr)
-                                throw TypeError(
-                                    "child link resolves to object of "
-                                    "unexpected dynamic type");
-                              slot = typed;
-                            }});
+    fixups_.push_back(Fixup{id, &slot, &set_slot<T>});
   }
 
-  /// Resolve all child links, clear modified flags, and hand the graph over.
-  /// The Recovery object is spent afterwards.
+  /// Resolve all child links and hand the graph over, its modified flags
+  /// clear (apply() resets each as it restores the record). The Recovery
+  /// object is spent afterwards.
   RecoveredState finish();
 
   [[nodiscard]] std::size_t objects_materialized() const noexcept {
-    return objects_.size();
+    return by_id_.size();
   }
 
  private:
+  /// One pending child link: point `slot` (a T* member of a heap-owned
+  /// object) at object `id`, or at nullptr for kNullObjectId.
   struct Fixup {
     ObjectId id;
-    std::function<void(Checkpointable&)> set;
+    void* slot;
+    void (*set)(void* slot, Checkpointable* obj);
   };
+  static_assert(std::is_trivially_copyable_v<Fixup>);
+
+  template <class T>
+  static void set_slot(void* slot, Checkpointable* obj) {
+    T* typed = nullptr;
+    if (obj != nullptr) {
+      typed = dynamic_cast<T*>(obj);
+      if (typed == nullptr)
+        throw TypeError("child link resolves to object of unexpected dynamic "
+                        "type");
+    }
+    *static_cast<T**>(slot) = typed;
+  }
 
   const TypeRegistry* registry_;
   ApplyMode mode_ = ApplyMode::kMaterialize;
   RecordObserver observer_;
   std::vector<ObjectId> event_children_;  // scan mode, current record
-  std::unordered_map<ObjectId, std::unique_ptr<Checkpointable>> objects_;
+  Heap heap_;
+  std::unordered_map<ObjectId, Checkpointable*> by_id_;
   std::vector<Fixup> fixups_;
   StreamHeader last_header_;
   bool has_header_ = false;

@@ -142,6 +142,86 @@ TEST(Recovery, SelfReferentialGraphNeedsNoForwardDeclarations) {
   EXPECT_EQ(state.root_as<Inner>()->right->info().id(), b->info().id());
 }
 
+// A delta that clears a link must win over the older record that set it:
+// the newest record of a slot decides, null included.
+TEST(Recovery, LinkClearedInLaterDeltaStaysCleared) {
+  core::Heap heap;
+  Leaf* leaf = heap.make<Leaf>();
+  Inner* root = heap.make<Inner>();
+  root->set_left(leaf);
+  std::vector<core::Checkpointable*> roots{root};
+  std::vector<std::vector<std::uint8_t>> ckpts;
+  ckpts.push_back(checkpoint_bytes(roots, 0, Mode::kFull));
+  root->set_left(nullptr);
+  ckpts.push_back(checkpoint_bytes(roots, 1, Mode::kIncremental));
+
+  auto registry = make_registry();
+  RecoveredState state = recover_from(registry, ckpts);
+  EXPECT_EQ(state.root_as<Inner>()->left, nullptr);
+  // The unlinked leaf is still materialized (the full frame recorded it);
+  // only the link is gone.
+  EXPECT_NE(state.find(leaf->info().id()), nullptr);
+}
+
+TEST(Recovery, LinkMovedThenClearedFollowsEachFrame) {
+  core::Heap heap;
+  Leaf* a = heap.make<Leaf>();
+  Inner* root = heap.make<Inner>();
+  root->set_left(a);
+  std::vector<core::Checkpointable*> roots{root};
+  std::vector<std::vector<std::uint8_t>> ckpts;
+  ckpts.push_back(checkpoint_bytes(roots, 0, Mode::kFull));
+  Leaf* b = heap.make<Leaf>();
+  root->set_left(b);
+  ckpts.push_back(checkpoint_bytes(roots, 1, Mode::kIncremental));
+  root->set_left(nullptr);
+  ckpts.push_back(checkpoint_bytes(roots, 2, Mode::kIncremental));
+
+  auto registry = make_registry();
+  const ObjectId expected[] = {a->info().id(), b->info().id(), kNullObjectId};
+  for (std::size_t n = 1; n <= ckpts.size(); ++n) {
+    RecoveredState state = recover_from(
+        registry, std::span<const std::vector<std::uint8_t>>(ckpts).first(n));
+    const Leaf* left = state.root_as<Inner>()->left;
+    EXPECT_EQ(left == nullptr ? kNullObjectId : left->info().id(),
+              expected[n - 1])
+        << "after " << n << " frame(s)";
+  }
+}
+
+// A record precedes the records of its children, so every link in a full
+// frame is a forward reference; clearing one in a delta must still win, and
+// a forward reference inside the delta must still resolve.
+TEST(Recovery, ForwardReferenceThenClearedInLaterDelta) {
+  core::Heap heap;
+  Inner* root = heap.make<Inner>();
+  Inner* mid = heap.make<Inner>();
+  Leaf* leaf = heap.make<Leaf>();
+  root->set_right(mid);  // root recorded before mid
+  mid->set_left(leaf);   // mid recorded before leaf
+  std::vector<core::Checkpointable*> roots{root};
+  std::vector<std::vector<std::uint8_t>> ckpts;
+  ckpts.push_back(checkpoint_bytes(roots, 0, Mode::kFull));
+  Leaf* late = heap.make<Leaf>();  // recorded after root in the delta
+  late->set_i32(5);
+  root->set_left(late);
+  root->set_right(nullptr);
+  ckpts.push_back(checkpoint_bytes(roots, 1, Mode::kIncremental));
+
+  auto registry = make_registry();
+  RecoveredState state = recover_from(registry, ckpts);
+  Inner* new_root = state.root_as<Inner>();
+  EXPECT_EQ(new_root->right, nullptr);
+  ASSERT_NE(new_root->left, nullptr);
+  EXPECT_EQ(new_root->left->info().id(), late->info().id());
+  EXPECT_EQ(new_root->left->i32, 5);
+  // The detached subgraph keeps its own links.
+  auto* new_mid = dynamic_cast<Inner*>(state.find(mid->info().id()));
+  ASSERT_NE(new_mid, nullptr);
+  ASSERT_NE(new_mid->left, nullptr);
+  EXPECT_EQ(new_mid->left->info().id(), leaf->info().id());
+}
+
 TEST(Recovery, UnregisteredTypeThrows) {
   core::Heap heap;
   Leaf* leaf = heap.make<Leaf>();

@@ -38,9 +38,14 @@ using core::TypeRegistry;
 
 constexpr std::size_t kInners = 6;
 
-/// Everything observable about the workload graph at one moment.
+/// Everything observable about the workload graph at one moment: the
+/// right-chain reachable from the root, each node's tag and which leaf (if
+/// any) its left link names, and every linked leaf's values. Ids pin the
+/// links themselves, not just the values behind them.
 struct Snapshot {
+  std::vector<ObjectId> chain;
   std::vector<std::int32_t> tags;
+  std::vector<ObjectId> lefts;  // kNullObjectId where left is cleared
   std::vector<std::int32_t> i32s;
   std::vector<std::int64_t> i64s;
   std::vector<double> f64s;
@@ -49,7 +54,28 @@ struct Snapshot {
   bool operator==(const Snapshot&) const = default;
 };
 
+/// Snapshot the graph under `root` by walking the Inner right-chain; used
+/// on the live workload and on a recovered graph alike.
+Snapshot snap(const Inner* root) {
+  Snapshot s;
+  for (const Inner* inner = root; inner != nullptr; inner = inner->right) {
+    s.chain.push_back(inner->info().id());
+    s.tags.push_back(inner->tag);
+    const Leaf* leaf = inner->left;
+    s.lefts.push_back(leaf != nullptr ? leaf->info().id() : kNullObjectId);
+    if (leaf == nullptr) continue;
+    s.i32s.push_back(leaf->i32);
+    s.i64s.push_back(leaf->i64);
+    s.f64s.push_back(leaf->f64);
+    s.flags.push_back(leaf->flag);
+  }
+  return s;
+}
+
 /// The synthetic workload: a right-chain of Inners, each holding one Leaf.
+/// Mutation changes values, clears and restores left links, and shortens
+/// or re-extends the chain (inners[i]->right is always inners[i + 1] or
+/// null).
 struct Workload {
   core::Heap heap;
   std::vector<Inner*> inners;
@@ -84,36 +110,44 @@ struct Workload {
         touched = true;
       }
     }
+    if ((rng() & 3) == 0) {
+      const std::size_t i = rng() % kInners;
+      if (inners[i]->left != nullptr) {
+        inners[i]->set_left(nullptr);
+      } else {
+        inners[i]->set_left(leaves[i]);
+        touch(leaves[i]);
+      }
+      touched = true;
+    }
+    if ((rng() & 3) == 0) {
+      std::size_t len = 1;
+      while (inners[len - 1]->right != nullptr) ++len;
+      if (len > 1 && ((rng() & 1) == 0 || len == kInners)) {
+        inners[rng() % (len - 1)]->set_right(nullptr);
+      } else if (len < kInners) {
+        inners[len - 1]->set_right(inners[len]);
+        for (Inner* inner = inners[len]; inner != nullptr;
+             inner = inner->right) {
+          touch(inner);
+          touch(inner->left);
+        }
+      }
+      touched = true;
+    }
     if (!touched) leaves[0]->set_i32(static_cast<std::int32_t>(rng()));
   }
 
-  Snapshot snap() const {
-    Snapshot s;
-    for (std::size_t i = 0; i < kInners; ++i) {
-      s.tags.push_back(inners[i]->tag);
-      s.i32s.push_back(leaves[i]->i32);
-      s.i64s.push_back(leaves[i]->i64);
-      s.f64s.push_back(leaves[i]->f64);
-      s.flags.push_back(leaves[i]->flag);
-    }
-    return s;
+  Snapshot snap() const { return testing::snap(inners.front()); }
+
+ private:
+  /// Mark a re-linked object modified: one that was unreachable at the
+  /// window's full checkpoint is in no frame of that window, and an
+  /// incremental checkpoint records only modified objects.
+  static void touch(core::Checkpointable* obj) {
+    if (obj != nullptr) obj->info().set_modified();
   }
 };
-
-/// Snapshot a *recovered* graph by walking the Inner right-chain.
-Snapshot snap_recovered(Inner* root) {
-  Snapshot s;
-  for (Inner* inner = root; inner != nullptr; inner = inner->right) {
-    s.tags.push_back(inner->tag);
-    EXPECT_NE(inner->left, nullptr);
-    if (inner->left == nullptr) break;
-    s.i32s.push_back(inner->left->i32);
-    s.i64s.push_back(inner->left->i64);
-    s.f64s.push_back(inner->left->f64);
-    s.flags.push_back(inner->left->flag);
-  }
-  return s;
-}
 
 using Oracle = std::map<Epoch, Snapshot>;
 
@@ -156,7 +190,7 @@ class TimeTravelTest : public ::testing::Test {
     auto result = CheckpointManager::recover_to_epoch(path_, registry_, e);
     ASSERT_EQ(result.state.epoch, e);
     ASSERT_TRUE(oracle.count(e)) << "oracle has no snapshot for epoch " << e;
-    EXPECT_EQ(snap_recovered(result.state.root_as<Inner>()), oracle.at(e))
+    EXPECT_EQ(snap(result.state.root_as<Inner>()), oracle.at(e))
         << "state mismatch at epoch " << e;
   }
 
@@ -319,20 +353,20 @@ TEST_F(TimeTravelTest, OracleHoldsAcrossRestartAndCompaction) {
   // Second life: recover newest, mutate the recovered graph directly.
   auto recovered = CheckpointManager::recover(path_, registry_);
   Inner* root = recovered.state.root_as<Inner>();
-  ASSERT_EQ(snap_recovered(root), oracle.rbegin()->second);
+  ASSERT_EQ(snap(root), oracle.rbegin()->second);
   {
     CheckpointManager manager(path_, opts);
     std::mt19937_64 rng2(0x71ABE008);
     for (int i = 0; i < 8; ++i) {
       // Mutate the recovered chain the same way the workload would.
       for (Inner* inner = root; inner != nullptr; inner = inner->right) {
-        if ((rng2() & 1) == 0)
+        if ((rng2() & 1) == 0 && inner->left != nullptr)
           inner->left->set_i32(static_cast<std::int32_t>(rng2()));
         if ((rng2() & 3) == 0)
           inner->set_tag(static_cast<std::int32_t>(rng2() % 100000));
       }
       auto take = manager.take(*root);
-      oracle[take.epoch] = snap_recovered(root);
+      oracle[take.epoch] = snap(root);
     }
   }
 
@@ -480,7 +514,7 @@ TEST_F(TimeTravelTest, SquashCompactionRemovesManifest) {
   EXPECT_TRUE(report.clean()) << report.to_string();
   // Newest state survives the squash.
   auto result = CheckpointManager::recover(path_, registry_);
-  EXPECT_EQ(snap_recovered(result.state.root_as<Inner>()),
+  EXPECT_EQ(snap(result.state.root_as<Inner>()),
             oracle.rbegin()->second);
 }
 

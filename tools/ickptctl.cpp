@@ -610,6 +610,7 @@ void run_obs_workload() {
 
   auto registry = builtin_registry();
   (void)core::CheckpointManager::recover(path, registry);
+  (void)core::CheckpointManager::recover_to_epoch(path, registry, 5);
   (void)core::CheckpointManager::compact(path, registry);
 
   synth::SynthShapes shapes = synth::SynthShapes::make();
@@ -658,6 +659,7 @@ int cmd_stats(bool self_test, bool json) {
       "ickpt_recoveries_total",           // recovery
       "ickpt_recover_frames_total",
       "ickpt_recover_records_total",
+      "ickpt_recover_bytes_total",
       "ickpt_compacts_total",
       "ickpt_infer_observations_total",   // spec pipeline
       "ickpt_adaptive_specializations_total",
@@ -671,8 +673,23 @@ int cmd_stats(bool self_test, bool json) {
                 value > 0 ? "ok" : "ZERO");
     if (value == 0) ++failures;
   }
+  // Recovery latency, one series per kind of target: the workload above
+  // runs one newest-state and one time-travel recovery.
+  static constexpr const char* kRecoverTargets[] = {"newest", "epoch"};
+  for (const char* target : kRecoverTargets) {
+    const obs::MetricSnapshot* m =
+        snap.find("ickpt_recover_seconds", {{"target", target}});
+    const std::uint64_t count = m != nullptr ? m->count : 0;
+    const std::string series =
+        std::string("ickpt_recover_seconds{target=") + target + "}";
+    std::printf("%-40s %llu %s\n", series.c_str(), (unsigned long long)count,
+                count > 0 ? "ok" : "ZERO");
+    if (count == 0) ++failures;
+  }
   std::printf("self-test: %zu metric(s) checked, %d dead\n",
-              sizeof(kRequired) / sizeof(kRequired[0]), failures);
+              sizeof(kRequired) / sizeof(kRequired[0]) +
+                  sizeof(kRecoverTargets) / sizeof(kRecoverTargets[0]),
+              failures);
   return failures == 0 ? 0 : 2;
 }
 
